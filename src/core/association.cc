@@ -77,7 +77,13 @@ Result<bool> AssociationAnalyzer::HasCloseWitness(TupleId a, TupleId b,
 Result<bool> AssociationAnalyzer::IsInstanceClose(
     const Connection& connection, size_t max_witness_edges) const {
   CLAKS_ASSIGN_OR_RETURN(ConnectionAnalysis analysis, Analyze(connection));
+  return IsInstanceClose(analysis, max_witness_edges);
+}
+
+Result<bool> AssociationAnalyzer::IsInstanceClose(
+    const ConnectionAnalysis& analysis, size_t max_witness_edges) const {
   if (analysis.schema_close) return true;
+  const Connection& connection = analysis.connection;
   size_t budget =
       max_witness_edges == 0 ? connection.RdbLength() : max_witness_edges;
   return HasCloseWitness(connection.front(), connection.back(), budget);
@@ -103,7 +109,7 @@ Result<bool> AssociationAnalyzer::IsInstanceCloseStrict(
       if (entity_tuples.size() != steps.size() + 1) {
         // Partial steps present (connection endpoint inside a middle
         // relation); fall back to endpoint semantics.
-        return IsInstanceClose(connection, max_witness_edges);
+        return IsInstanceClose(analysis, max_witness_edges);
       }
       std::vector<Cardinality> sub(steps.begin() + i, steps.begin() + j);
       if (GuaranteesCloseAssociation(ClassifyCardinalitySequence(sub))) {
@@ -122,7 +128,7 @@ Result<ConnectionAnalysis> AssociationAnalyzer::AnalyzeWithInstanceCheck(
     const Connection& connection, size_t max_witness_edges) const {
   CLAKS_ASSIGN_OR_RETURN(ConnectionAnalysis analysis, Analyze(connection));
   CLAKS_ASSIGN_OR_RETURN(bool instance_close,
-                         IsInstanceClose(connection, max_witness_edges));
+                         IsInstanceClose(analysis, max_witness_edges));
   analysis.instance_close = instance_close;
   return analysis;
 }

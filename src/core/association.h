@@ -66,6 +66,12 @@ class AssociationAnalyzer {
   Result<bool> IsInstanceClose(const Connection& connection,
                                size_t max_witness_edges = 0) const;
 
+  /// IsInstanceClose over an analysis Analyze already produced (of
+  /// `analysis.connection`): the same verdict without classifying the
+  /// connection a second time.
+  Result<bool> IsInstanceClose(const ConnectionAnalysis& analysis,
+                               size_t max_witness_edges = 0) const;
+
   /// Strict variant: every entity-tuple pair of the connection whose
   /// sub-path is schema-loose must have a close witness. Implies
   /// IsInstanceClose.

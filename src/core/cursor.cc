@@ -398,6 +398,7 @@ class StreamingCursor : public ResultCursor {
                                                prepared_->keyword_of())
                             : std::vector<uint64_t>());
       hits_.push_back(std::move(hit));
+      if (profiler_ != nullptr) profiler_->AddCandidates(1);
       order_dirty_ = true;
       if (recompute) {
         TraceSpan settle_span("settle");

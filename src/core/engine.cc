@@ -247,10 +247,11 @@ std::vector<NodePath> EnumerateBetweenSetsSharded(
   tasks.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     tasks.push_back([&, s] {
+      SimplePathEnumerator enumerator(graph, targets, max_edges);
       for (size_t i = 0; i < sources.size(); ++i) {
         if (ShardOfNode(sources[i], shards) != s) continue;
-        AppendSimplePathsFromSource(graph, sources[i], targets, max_edges,
-                                    /*max_results=*/0, &per_source[i]);
+        enumerator.AppendFrom(sources[i], /*max_results=*/0,
+                              &per_source[i]);
       }
     });
   }
@@ -290,16 +291,15 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
   hit.tree = tree;
   hit.rdb_length = tree.edge_indices.size();
 
-  // Text score: best match per keyword among tuples in the tree.
-  std::set<TupleId> tree_tuples;
-  for (uint32_t node : tree.nodes) {
-    tree_tuples.insert(data_graph_->TupleOf(node));
-  }
+  // Text score: best match per keyword among the tree's tuples. The tree
+  // is looked up in the sorted match lists — O(|tree| * k * log m) — so
+  // the cost does not grow with how many tuples a keyword matches.
   for (const KeywordMatches& km : matches) {
     double best = 0.0;
-    for (const TupleMatch& m : km.matches) {
-      if (tree_tuples.count(m.tuple) == 0) continue;
-      best = std::max(best, ScoreTupleMatch(*index_, km.keyword, m));
+    for (uint32_t node : tree.nodes) {
+      const TupleMatch* m = km.Find(data_graph_->TupleOf(node));
+      if (m == nullptr) continue;
+      best = std::max(best, ScoreTupleMatch(*index_, km.keyword, *m));
     }
     hit.text_score += best;
   }
@@ -308,19 +308,17 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
     Connection connection = tree.ToConnection(*data_graph_);
     // Orient the path so a tuple matching the first keyword comes first
     // when possible (paper reads connections keyword-to-keyword).
-    if (!matches.empty()) {
-      auto first_set = matches[0].TupleSet();
-      if (first_set.count(connection.front()) == 0 &&
-          first_set.count(connection.back()) > 0) {
-        connection = connection.Reversed();
-      }
+    if (!matches.empty() &&
+        matches[0].Find(connection.front()) == nullptr &&
+        matches[0].Find(connection.back()) != nullptr) {
+      connection = connection.Reversed();
     }
     CLAKS_ASSIGN_OR_RETURN(ConnectionAnalysis analysis,
                            analyzer_->Analyze(connection));
     if (options.instance_check) {
       CLAKS_ASSIGN_OR_RETURN(
           bool close,
-          analyzer_->IsInstanceClose(connection, options.witness_edges));
+          analyzer_->IsInstanceClose(analysis, options.witness_edges));
       analysis.instance_close = close;
     }
     hit.er_length = analysis.er_length;
@@ -373,7 +371,7 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
       if (options.instance_check) {
         CLAKS_ASSIGN_OR_RETURN(
             bool close,
-            analyzer_->IsInstanceClose(connection, options.witness_edges));
+            analyzer_->IsInstanceClose(analysis, options.witness_edges));
         all_instance_close = all_instance_close && close;
         checked_any = true;
       }
@@ -584,6 +582,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
     profiler->Add(QueryProfiler::Stage::kStream, ElapsedNs(candidates_start));
   }
 
+  if (profiler != nullptr) profiler->AddCandidates(trees.size());
   auto analyze_start = std::chrono::steady_clock::now();
   std::optional<TraceSpan> analyze_span;
   analyze_span.emplace("analyze");

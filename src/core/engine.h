@@ -222,7 +222,9 @@ class KeywordSearchEngine {
   /// Analyses one candidate tree into a SearchHit (text scores,
   /// association analysis, instance check, rendering). Internal engine
   /// plumbing shared with core/cursor.cc — streaming cursors analyse
-  /// candidates on pull through this entry point.
+  /// candidates on pull through this entry point. `matches` must be
+  /// MatchKeywords output (ascending by TupleId): the tree's tuples are
+  /// looked up in it, never scanned.
   Result<SearchHit> AnalyzeTree(
       const TupleTree& tree, const std::vector<KeywordMatches>& matches,
       const std::map<TupleId, std::string>& keyword_of,
@@ -233,8 +235,8 @@ class KeywordSearchEngine {
   /// materialized cursors (every method except two-keyword kStream).
   /// `work` (optional) receives the method's work metric (BANKS visited
   /// nodes; 0 for the exhaustive methods); `profiler` (optional) receives
-  /// the stream/analyze/rank stage times. Internal plumbing shared with
-  /// core/cursor.cc.
+  /// the stream/analyze/rank stage times and the analysed-tree count.
+  /// Internal plumbing shared with core/cursor.cc.
   Result<std::vector<SearchHit>> MaterializeHits(
       const PreparedQuery& prepared, size_t* work,
       QueryProfiler* profiler = nullptr) const;

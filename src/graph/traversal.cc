@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 
 #include "common/macros.h"
 
@@ -80,46 +79,60 @@ std::optional<NodePath> ShortestPath(const DataGraph& graph, uint32_t from,
   return std::nullopt;
 }
 
-namespace {
-
-struct PathEnumerator {
-  const DataGraph& graph;
-  size_t max_edges;
-  size_t max_results;
-  const std::unordered_set<uint32_t>* targets;
-  std::vector<NodePath>* out;
-  std::vector<DataAdjacency> prefix;
-  std::vector<bool> on_path;
-  uint32_t start = 0;
-
-  bool Full() const {
-    return max_results != 0 && out->size() >= max_results;
+SimplePathEnumerator::SimplePathEnumerator(
+    const DataGraph& graph, const std::vector<uint32_t>& targets,
+    size_t max_edges)
+    : graph_(graph),
+      max_edges_(max_edges),
+      is_target_(graph.node_id_bound(), false),
+      on_path_(graph.node_id_bound(), false) {
+  for (uint32_t t : targets) {
+    CLAKS_CHECK_LT(t, graph.node_id_bound());
+    is_target_[t] = true;
   }
+}
 
-  void Recurse(uint32_t current) {
+bool SimplePathEnumerator::Full() const {
+  return max_results_ != 0 && out_->size() >= max_results_;
+}
+
+void SimplePathEnumerator::AppendFrom(uint32_t source, size_t max_results,
+                                      std::vector<NodePath>* out) {
+  max_results_ = max_results;
+  out_ = out;
+  if (Full()) return;
+  if (is_target_[source]) {
+    // A single tuple containing both keywords is a length-0 connection.
+    out->push_back(NodePath{source, {}});
+    return;
+  }
+  start_ = source;
+  on_path_[source] = true;
+  Recurse(source);
+  on_path_[source] = false;
+}
+
+void SimplePathEnumerator::Recurse(uint32_t current) {
+  if (Full()) return;
+  if (!prefix_.empty() && is_target_[current]) {
+    out_->push_back(NodePath{start_, prefix_});
+    // A simple path may continue through a target only if targets can be
+    // interior — for keyword search the path ends at the first matched
+    // target, matching the paper's connections (endpoints carry the
+    // keywords). So stop here.
+    return;
+  }
+  if (prefix_.size() >= max_edges_) return;
+  for (const DataAdjacency& adj : graph_.Neighbors(current)) {
+    if (on_path_[adj.neighbor]) continue;
+    on_path_[adj.neighbor] = true;
+    prefix_.push_back(adj);
+    Recurse(adj.neighbor);
+    prefix_.pop_back();
+    on_path_[adj.neighbor] = false;
     if (Full()) return;
-    if (!prefix.empty() && targets->count(current) > 0) {
-      out->push_back(NodePath{start, prefix});
-      // A simple path may continue through a target only if targets can be
-      // interior — for keyword search the path ends at the first matched
-      // target, matching the paper's connections (endpoints carry the
-      // keywords). So stop here.
-      return;
-    }
-    if (prefix.size() >= max_edges) return;
-    for (const DataAdjacency& adj : graph.Neighbors(current)) {
-      if (on_path[adj.neighbor]) continue;
-      on_path[adj.neighbor] = true;
-      prefix.push_back(adj);
-      Recurse(adj.neighbor);
-      prefix.pop_back();
-      on_path[adj.neighbor] = false;
-      if (Full()) return;
-    }
   }
-};
-
-}  // namespace
+}
 
 std::vector<NodePath> EnumerateSimplePaths(const DataGraph& graph,
                                            uint32_t from, uint32_t to,
@@ -129,33 +142,14 @@ std::vector<NodePath> EnumerateSimplePaths(const DataGraph& graph,
                                          max_results);
 }
 
-void AppendSimplePathsFromSource(const DataGraph& graph, uint32_t source,
-                                 const std::vector<uint32_t>& targets,
-                                 size_t max_edges, size_t max_results,
-                                 std::vector<NodePath>* out) {
-  if (max_results != 0 && out->size() >= max_results) return;
-  std::unordered_set<uint32_t> target_set(targets.begin(), targets.end());
-  if (target_set.count(source) > 0) {
-    // A single tuple containing both keywords is a length-0 connection.
-    out->push_back(NodePath{source, {}});
-    return;
-  }
-  PathEnumerator enumerator{graph,       max_edges, max_results,
-                            &target_set, out,       {},
-                            std::vector<bool>(graph.node_id_bound(), false),
-                            source};
-  enumerator.on_path[source] = true;
-  enumerator.Recurse(source);
-}
-
 std::vector<NodePath> EnumerateSimplePathsBetweenSets(
     const DataGraph& graph, const std::vector<uint32_t>& sources,
     const std::vector<uint32_t>& targets, size_t max_edges,
     size_t max_results) {
   std::vector<NodePath> out;
+  SimplePathEnumerator enumerator(graph, targets, max_edges);
   for (uint32_t source : sources) {
-    AppendSimplePathsFromSource(graph, source, targets, max_edges,
-                                max_results, &out);
+    enumerator.AppendFrom(source, max_results, &out);
     if (max_results != 0 && out.size() >= max_results) break;
   }
   std::stable_sort(out.begin(), out.end(),

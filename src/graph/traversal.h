@@ -63,17 +63,43 @@ std::vector<NodePath> EnumerateSimplePathsBetweenSets(
     const std::vector<uint32_t>& targets, size_t max_edges,
     size_t max_results = 0);
 
-/// The per-source body of EnumerateSimplePathsBetweenSets: appends every
-/// simple path from `source` to a node of `targets` (DFS discovery
-/// order, no sort) to `out`, stopping once `out` holds `max_results`
-/// paths (0 = unlimited). Sources are independent of each other, which
-/// is what lets the sharded engine enumerate them in parallel and
-/// reassemble the exact serial output by concatenating per-source
-/// results in source order before the final length sort.
-void AppendSimplePathsFromSource(const DataGraph& graph, uint32_t source,
-                                 const std::vector<uint32_t>& targets,
-                                 size_t max_edges, size_t max_results,
-                                 std::vector<NodePath>* out);
+/// The per-source engine of EnumerateSimplePathsBetweenSets: a DFS from
+/// one source at a time to a fixed target set. The target membership and
+/// the on-path bitmap are built once at construction and reused for
+/// every source (the DFS clears each on-path bit on its way back).
+/// Sources are independent of each other, which is what lets the sharded
+/// engine run one enumerator per shard task over disjoint sources and
+/// reassemble the exact serial output by concatenating per-source results
+/// in source order before the final length sort. One instance serves one
+/// thread.
+class SimplePathEnumerator {
+ public:
+  SimplePathEnumerator(const DataGraph& graph,
+                       const std::vector<uint32_t>& targets,
+                       size_t max_edges);
+
+  /// Appends every simple path from `source` to a target (DFS discovery
+  /// order, no sort) to `out`, stopping once `out` holds `max_results`
+  /// paths (0 = unlimited). A source that is itself a target yields only
+  /// its length-0 path.
+  void AppendFrom(uint32_t source, size_t max_results,
+                  std::vector<NodePath>* out);
+
+ private:
+  bool Full() const;
+  void Recurse(uint32_t current);
+
+  const DataGraph& graph_;
+  const size_t max_edges_;
+  std::vector<bool> is_target_;
+  /// All false between AppendFrom calls.
+  std::vector<bool> on_path_;
+  // State of the AppendFrom call in progress.
+  uint32_t start_ = 0;
+  size_t max_results_ = 0;
+  std::vector<NodePath>* out_ = nullptr;
+  std::vector<DataAdjacency> prefix_;
+};
 
 }  // namespace claks
 

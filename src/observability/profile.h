@@ -63,8 +63,11 @@ struct QueryProfile {
   uint64_t analyze_tasks_ns = 0;
   uint64_t analyze_tasks = 0;
 
-  /// Work counters at snapshot time.
+  /// Work counters at snapshot time. `candidates` counts the candidate
+  /// trees analysed and handed to ranking, `hits` the ones returned so
+  /// far: together they show how much analysis the answer cost.
   size_t expansions = 0;
+  size_t candidates = 0;
   size_t hits = 0;
   std::vector<size_t> shard_expansions;  ///< empty when unsharded
   SkewSummary shard_skew;                ///< over shard_expansions
@@ -141,6 +144,9 @@ class QueryProfiler {
     analyze_tasks_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Counts `n` analysed candidate trees. Consumer thread only.
+  void AddCandidates(size_t n) { candidates_ += n; }
+
   /// RAII stage timer; a null profiler makes it free.
   class ScopedTimer {
    public:
@@ -168,7 +174,8 @@ class QueryProfiler {
   };
 
   /// Point-in-time profile. `expansions`/`hits`/`shard_expansions` are
-  /// passed by the cursor (it owns those counters).
+  /// passed by the cursor (it owns those counters); `candidates` is the
+  /// AddCandidates total.
   QueryProfile Snapshot(size_t expansions, size_t hits,
                         std::vector<size_t> shard_expansions) const {
     QueryProfile profile;
@@ -185,6 +192,7 @@ class QueryProfiler {
     profile.analyze_tasks =
         analyze_tasks_.load(std::memory_order_relaxed);
     profile.expansions = expansions;
+    profile.candidates = candidates_;
     profile.hits = hits;
     profile.shard_skew = ComputeSkew(shard_expansions);
     profile.shard_expansions = std::move(shard_expansions);
@@ -200,6 +208,7 @@ class QueryProfiler {
   uint64_t rank_ns_ = 0;
   uint64_t fetch_ns_ = 0;
   uint64_t total_ns_ = 0;
+  size_t candidates_ = 0;
   std::atomic<uint64_t> analyze_tasks_ns_{0};
   std::atomic<uint64_t> analyze_tasks_{0};
 };

@@ -36,6 +36,13 @@ std::set<TupleId> KeywordMatches::TupleSet() const {
   return out;
 }
 
+const TupleMatch* KeywordMatches::Find(TupleId tuple) const {
+  auto it = std::lower_bound(
+      matches.begin(), matches.end(), tuple,
+      [](const TupleMatch& m, TupleId t) { return m.tuple < t; });
+  return it != matches.end() && it->tuple == tuple ? &*it : nullptr;
+}
+
 std::vector<KeywordMatches> MatchKeywords(const InvertedIndex& index,
                                           const KeywordQuery& query) {
   std::vector<KeywordMatches> out;

@@ -49,12 +49,23 @@ struct TupleMatch {
 };
 
 /// All matches of one keyword.
+///
+/// Invariant: `matches` is strictly ascending by TupleId (MatchKeywords
+/// builds it from an ordered map, whatever the index's posting order —
+/// fresh, derived, compacted or loaded from a snapshot). Find relies on
+/// it, and it is what lets per-candidate analysis look a tree's tuples
+/// up instead of scanning every match (docs/ARCHITECTURE.md, "per query,
+/// not per candidate").
 struct KeywordMatches {
   std::string keyword;
-  std::vector<TupleMatch> matches;  ///< sorted by TupleId
+  std::vector<TupleMatch> matches;  ///< strictly ascending by TupleId
 
   bool empty() const { return matches.empty(); }
   std::set<TupleId> TupleSet() const;
+
+  /// The match of `tuple`, or nullptr when this keyword does not match
+  /// it. Binary search: O(log matches).
+  const TupleMatch* Find(TupleId tuple) const;
 };
 
 /// Runs a query against the index: one KeywordMatches per query keyword.

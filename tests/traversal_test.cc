@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "datasets/company_paper.h"
 
@@ -127,6 +129,119 @@ TEST_F(TraversalTest, SortedByLength) {
       *graph_, {N("d1"), N("d2")}, {N("e1"), N("e2")}, 4);
   for (size_t i = 1; i < paths.size(); ++i) {
     EXPECT_LE(paths[i - 1].length(), paths[i].length());
+  }
+}
+
+// EnumerateSimplePathsBetweenSets reuses one target set and one on-path
+// bitmap for all of a call's sources. The reference below gives every
+// source fresh state: one single-source call each, concatenated in source
+// order, then the same stable length sort. (Each single-source result is
+// already length-sorted; a stable sort keeps DFS order within a length,
+// so sorting the concatenation again gives the multi-source order.)
+std::vector<NodePath> PerSourceReference(const DataGraph& graph,
+                                         const std::vector<uint32_t>& sources,
+                                         const std::vector<uint32_t>& targets,
+                                         size_t max_edges,
+                                         size_t max_results = 0) {
+  std::vector<NodePath> out;
+  for (uint32_t source : sources) {
+    size_t remaining = max_results == 0 ? 0 : max_results - out.size();
+    for (NodePath& path : EnumerateSimplePathsBetweenSets(
+             graph, {source}, targets, max_edges, remaining)) {
+      out.push_back(std::move(path));
+    }
+    if (max_results != 0 && out.size() >= max_results) break;
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const NodePath& a, const NodePath& b) {
+                     return a.length() < b.length();
+                   });
+  return out;
+}
+
+/// start, then (edge, neighbor, direction) per step.
+std::vector<std::vector<uint32_t>> Keys(const std::vector<NodePath>& paths) {
+  std::vector<std::vector<uint32_t>> out;
+  for (const NodePath& path : paths) {
+    std::vector<uint32_t> key{path.start};
+    for (const DataAdjacency& step : path.steps) {
+      key.insert(key.end(), {step.edge_index, step.neighbor, step.along_fk});
+    }
+    out.push_back(std::move(key));
+  }
+  return out;
+}
+
+std::set<uint32_t> NodesOnPathsFrom(const std::vector<NodePath>& paths,
+                                    uint32_t source) {
+  std::set<uint32_t> out;
+  for (const NodePath& path : paths) {
+    if (path.start != source) continue;
+    for (uint32_t node : path.Nodes()) out.insert(node);
+  }
+  return out;
+}
+
+TEST_F(TraversalTest, MultiSourceMatchesPerSourceWithSourceAsTarget) {
+  // e1 is both a source and a target: its length-0 path must appear, and
+  // the sources after it must be unaffected.
+  std::vector<uint32_t> sources{N("d1"), N("e1"), N("d2"), N("p1")};
+  std::vector<uint32_t> targets{N("e1"), N("e2"), N("t1")};
+  auto paths = EnumerateSimplePathsBetweenSets(*graph_, sources, targets, 4);
+  ASSERT_FALSE(paths.empty());
+  EXPECT_EQ(paths[0].length(), 0u);
+  EXPECT_EQ(paths[0].start, N("e1"));
+  EXPECT_EQ(Keys(paths),
+            Keys(PerSourceReference(*graph_, sources, targets, 4)));
+}
+
+TEST_F(TraversalTest, MultiSourceMatchesPerSourceAtEveryCut) {
+  std::vector<uint32_t> sources{N("d1"), N("p1"), N("d2")};
+  std::vector<uint32_t> targets{N("e1"), N("e2")};
+  const size_t total =
+      EnumerateSimplePathsBetweenSets(*graph_, sources, targets, 4).size();
+  const size_t first =
+      EnumerateSimplePathsBetweenSets(*graph_, {N("d1")}, targets, 4).size();
+  // Some cut falls inside a source after the first one.
+  ASSERT_GE(total, first + 2);
+  for (size_t max_results = 1; max_results <= total + 1; ++max_results) {
+    auto paths = EnumerateSimplePathsBetweenSets(*graph_, sources, targets, 4,
+                                                 max_results);
+    EXPECT_EQ(paths.size(), std::min(max_results, total));
+    EXPECT_EQ(Keys(paths), Keys(PerSourceReference(*graph_, sources, targets,
+                                                   4, max_results)))
+        << "max_results " << max_results;
+  }
+}
+
+TEST_F(TraversalTest, MultiSourceMatchesPerSourceWithSharedPathNodes) {
+  // d1 and p1 are adjacent, so each lies on the other's paths: an on-path
+  // bit left set by one source would prune the next source's paths.
+  std::vector<uint32_t> sources{N("d1"), N("p1"), N("e3")};
+  std::vector<uint32_t> targets{N("e2"), N("t1"), N("w_f1")};
+  auto paths = EnumerateSimplePathsBetweenSets(*graph_, sources, targets, 4);
+  std::set<uint32_t> from_d1 = NodesOnPathsFrom(paths, N("d1"));
+  std::set<uint32_t> from_p1 = NodesOnPathsFrom(paths, N("p1"));
+  EXPECT_GT(from_d1.count(N("p1")), 0u);
+  EXPECT_GT(from_p1.count(N("d1")), 0u);
+  EXPECT_EQ(Keys(paths),
+            Keys(PerSourceReference(*graph_, sources, targets, 4)));
+}
+
+TEST_F(TraversalTest, MultiSourceMatchesPerSourceOverWholeGraph) {
+  std::vector<uint32_t> nodes;
+  for (uint32_t id = 0; id < graph_->node_id_bound(); ++id) {
+    if (graph_->IsLiveNode(id)) nodes.push_back(id);
+  }
+  std::vector<uint32_t> targets;
+  for (size_t i = 0; i < nodes.size(); i += 3) targets.push_back(nodes[i]);
+  for (size_t max_edges : {1u, 3u, 5u}) {
+    auto paths =
+        EnumerateSimplePathsBetweenSets(*graph_, nodes, targets, max_edges);
+    EXPECT_FALSE(paths.empty());
+    EXPECT_EQ(Keys(paths), Keys(PerSourceReference(*graph_, nodes, targets,
+                                                   max_edges)))
+        << "max_edges " << max_edges;
   }
 }
 

@@ -274,6 +274,7 @@ class StreamingCursor : public ResultCursor {
         // is never read again (ordering reads keys_/groups_ only), so the
         // hit moves out instead of copying.
         page.push_back(std::move(hits_[order[i]]));
+        engine_->RenderHit(prepared_->keyword_of(), &page.back());
       }
       emitted_ = std::max(emitted_, end);
       if (exhausted_ && emitted_ >= order.size()) finished_ = true;

@@ -328,7 +328,6 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
     hit.schema_close = analysis.schema_close;
     hit.instance_close = analysis.instance_close;
     hit.ambiguity = statistics_->ConnectionAmbiguity(analysis.projection);
-    hit.rendered = connection.ToAnnotatedString(*db_, keyword_of);
     hit.connection = std::move(connection);
     hit.analysis = std::move(analysis);
     return hit;
@@ -379,8 +378,14 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
   }
   hit.schema_close = GuaranteesCloseAssociation(hit.kind);
   if (checked_any) hit.instance_close = all_instance_close;
-  hit.rendered = tree.ToString(*data_graph_);
   return hit;
+}
+
+void KeywordSearchEngine::RenderHit(
+    const std::map<TupleId, std::string>& keyword_of, SearchHit* hit) const {
+  hit->rendered = hit->connection.has_value()
+                      ? hit->connection->ToAnnotatedString(*db_, keyword_of)
+                      : hit->tree.ToString(*data_graph_);
 }
 
 Result<PreparedQuery> KeywordSearchEngine::Prepare(
@@ -611,6 +616,13 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
   {
     QueryProfiler::ScopedTimer timer(profiler, QueryProfiler::Stage::kRank);
     RankGroupTruncate(&hits, prepared.keyword_of(), options);
+  }
+  {
+    // Only the survivors are rendered (ranking and grouping never read
+    // `rendered`); the render stays on the analyze stage's clock.
+    QueryProfiler::ScopedTimer timer(profiler,
+                                     QueryProfiler::Stage::kAnalyze);
+    for (SearchHit& hit : hits) RenderHit(prepared.keyword_of(), &hit);
   }
   return hits;
 }

@@ -61,7 +61,9 @@ struct SearchHit {
   double text_score = 0.0;
   /// Instance ambiguity (product of measured step fan-outs; paper §4).
   double ambiguity = 1.0;
-  /// Pretty-printed form with matched keywords marked.
+  /// Pretty-printed form with matched keywords marked. Only returned hits
+  /// are rendered (KeywordSearchEngine::RenderHit); ranking, grouping and
+  /// EndpointGroupKey never read it.
   std::string rendered;
 
   RankInput ToRankInput() const;
@@ -220,15 +222,23 @@ class KeywordSearchEngine {
                               const SearchOptions& options = {}) const;
 
   /// Analyses one candidate tree into a SearchHit (text scores,
-  /// association analysis, instance check, rendering). Internal engine
-  /// plumbing shared with core/cursor.cc — streaming cursors analyse
-  /// candidates on pull through this entry point. `matches` must be
-  /// MatchKeywords output (ascending by TupleId): the tree's tuples are
-  /// looked up in it, never scanned.
+  /// association analysis, instance check; `rendered` is left empty, see
+  /// RenderHit). Internal engine plumbing shared with core/cursor.cc —
+  /// streaming cursors analyse candidates on pull through this entry
+  /// point. `matches` must be MatchKeywords output (ascending by
+  /// TupleId): the tree's tuples are looked up in it, never scanned.
   Result<SearchHit> AnalyzeTree(
       const TupleTree& tree, const std::vector<KeywordMatches>& matches,
       const std::map<TupleId, std::string>& keyword_of,
       const SearchOptions& options) const;
+
+  /// Fills `hit->rendered`: the connection with its keyword tuples marked
+  /// from `keyword_of` for a path, the tuple tree otherwise. Called only
+  /// on hits that are returned — by MaterializeHits after truncation and
+  /// by the streaming cursor as a hit is copied into a page. Internal
+  /// plumbing shared with core/cursor.cc.
+  void RenderHit(const std::map<TupleId, std::string>& keyword_of,
+                 SearchHit* hit) const;
 
   /// Runs `prepared`'s method to completion and returns the fully ranked,
   /// grouped and truncated hit sequence — the backing store of

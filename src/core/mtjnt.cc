@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -236,13 +238,16 @@ std::string EncodeRooted(const CandidateNetwork& cn, uint32_t root,
     // Edge label as seen from root: fk index plus which side references.
     bool child_is_referencing = root_is_a ? !edge.a_is_referencing
                                           : edge.a_is_referencing;
-    std::string label = StrFormat("[%u%c", edge.fk_index,
-                                  child_is_referencing ? '<' : '>');
-    children.push_back(label + EncodeRooted(cn, child, e) + "]");
+    std::string label = "[" + std::to_string(edge.fk_index);
+    label += child_is_referencing ? '<' : '>';
+    label += EncodeRooted(cn, child, e);
+    label += ']';
+    children.push_back(std::move(label));
   }
   std::sort(children.begin(), children.end());
-  std::string out = StrFormat("(%u;%u", cn.nodes[root].table,
-                              cn.nodes[root].keyword_mask);
+  std::string out = "(" + std::to_string(cn.nodes[root].table);
+  out += ';';
+  out += std::to_string(cn.nodes[root].keyword_mask);
   for (const std::string& child : children) out += child;
   out += ")";
   return out;

@@ -16,12 +16,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct Expansion {
-  std::vector<double> dist;
-  std::vector<uint32_t> parent;        // predecessor node
-  std::vector<uint32_t> parent_edge;   // edge used to reach node
-  std::vector<uint32_t> source;        // which keyword node we came from
-};
+using Item = std::pair<double, uint32_t>;
+using MinHeap = std::priority_queue<Item, std::vector<Item>, std::greater<>>;
 
 // Cost of entering each node, precomputed once per search so the Dijkstra
 // inner loop over the CSR adjacency pays no log() per relaxation.
@@ -37,47 +33,80 @@ std::vector<double> NodeEntryWeights(const DataGraph& graph,
   return weights;
 }
 
-// Multi-source Dijkstra from every node of one keyword set. `visited`
-// accumulates the number of settled pops (the expansion's work metric).
-Expansion Expand(const DataGraph& graph, const std::vector<uint32_t>& set,
-                 const std::vector<double>& entry_weights,
-                 const BanksOptions& options, size_t* visited) {
-  Expansion exp;
-  exp.dist.assign(graph.node_id_bound(), kInf);
-  exp.parent.assign(graph.node_id_bound(), UINT32_MAX);
-  exp.parent_edge.assign(graph.node_id_bound(), UINT32_MAX);
-  exp.source.assign(graph.node_id_bound(), UINT32_MAX);
-
-  using Item = std::pair<double, uint32_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-  for (uint32_t node : set) {
-    CLAKS_CHECK_LT(node, graph.node_id_bound());
-    if (exp.dist[node] > 0.0) {
-      exp.dist[node] = 0.0;
-      exp.source[node] = node;
-      pq.emplace(0.0, node);
-    }
-  }
-  double max_dist = static_cast<double>(options.max_distance);
-  while (!pq.empty()) {
-    auto [d, node] = pq.top();
-    pq.pop();
-    if (d > exp.dist[node]) continue;
-    ++*visited;
-    if (d >= max_dist) continue;
-    for (const DataAdjacency& adj : graph.Neighbors(node)) {
-      double nd = d + entry_weights[adj.neighbor];
-      if (nd < exp.dist[adj.neighbor]) {
-        exp.dist[adj.neighbor] = nd;
-        exp.parent[adj.neighbor] = node;
-        exp.parent_edge[adj.neighbor] = adj.edge_index;
-        exp.source[adj.neighbor] = exp.source[node];
-        pq.emplace(nd, adj.neighbor);
+// Multi-source Dijkstra from every node of one keyword set, run in slices.
+// AdvanceTo(theta) settles every queued node at distance <= theta; the
+// queue sees exactly the pushes and pops of one uninterrupted run, so a
+// settled node's dist/parent/parent_edge/source never depend on where the
+// run was paused.
+class Expansion {
+ public:
+  Expansion(const DataGraph& graph, const std::vector<uint32_t>& set,
+            const std::vector<double>& entry_weights, double max_dist)
+      : graph_(&graph),
+        entry_weights_(&entry_weights),
+        max_dist_(max_dist),
+        dist_(graph.node_id_bound(), kInf),
+        parent_(graph.node_id_bound(), UINT32_MAX),
+        parent_edge_(graph.node_id_bound(), UINT32_MAX),
+        source_(graph.node_id_bound(), UINT32_MAX) {
+    for (uint32_t node : set) {
+      CLAKS_CHECK_LT(node, graph.node_id_bound());
+      if (dist_[node] > 0.0) {
+        dist_[node] = 0.0;
+        source_[node] = node;
+        queue_.emplace(0.0, node);
       }
     }
   }
-  return exp;
-}
+
+  /// Distance of the next queued entry; infinity once the run is over.
+  double NextDistance() const {
+    return queue_.empty() ? kInf : queue_.top().first;
+  }
+
+  /// Pops every queued node at distance <= theta, calling
+  /// `on_settle(node)` for each node settled (stale entries are skipped).
+  template <typename OnSettle>
+  void AdvanceTo(double theta, OnSettle&& on_settle) {
+    while (!queue_.empty() && queue_.top().first <= theta) {
+      auto [d, node] = queue_.top();
+      queue_.pop();
+      if (d > dist_[node]) continue;
+      on_settle(node);
+      if (d >= max_dist_) continue;
+      for (const DataAdjacency& adj : graph_->Neighbors(node)) {
+        double nd = d + (*entry_weights_)[adj.neighbor];
+        if (nd < dist_[adj.neighbor]) {
+          dist_[adj.neighbor] = nd;
+          parent_[adj.neighbor] = node;
+          parent_edge_[adj.neighbor] = adj.edge_index;
+          source_[adj.neighbor] = source_[node];
+          queue_.emplace(nd, adj.neighbor);
+        }
+      }
+    }
+  }
+
+  // Read only for settled nodes, whose entries are final.
+  double dist(uint32_t node) const { return dist_[node]; }
+  uint32_t source(uint32_t node) const { return source_[node]; }
+  /// Adds the edges of the shortest path from `node` back to its source.
+  void AddPathEdges(uint32_t node, std::set<uint32_t>* edges) const {
+    for (; parent_[node] != UINT32_MAX; node = parent_[node]) {
+      edges->insert(parent_edge_[node]);
+    }
+  }
+
+ private:
+  const DataGraph* graph_;
+  const std::vector<double>* entry_weights_;
+  double max_dist_;
+  MinHeap queue_;
+  std::vector<double> dist_;
+  std::vector<uint32_t> parent_;       // predecessor node
+  std::vector<uint32_t> parent_edge_;  // edge used to reach node
+  std::vector<uint32_t> source_;       // which keyword node we came from
+};
 
 }  // namespace
 
@@ -95,51 +124,57 @@ std::vector<AnswerTree> BanksBackwardSearch(
       NodeEntryWeights(graph, options.weight_model);
   std::vector<Expansion> expansions;
   expansions.reserve(keyword_node_sets.size());
-  size_t visited = 0;
   for (const auto& set : keyword_node_sets) {
-    expansions.push_back(Expand(graph, set, entry_weights, options,
-                                &visited));
+    expansions.emplace_back(graph, set, entry_weights,
+                            static_cast<double>(options.max_distance));
   }
-  if (stats != nullptr) stats->visited_nodes = visited;
 
-  // Candidate roots: reached by every expansion.
-  std::vector<std::pair<double, uint32_t>> candidates;
-  for (uint32_t v = 0; v < graph.node_id_bound(); ++v) {
+  // A node settled by every expansion is a candidate root; its total is
+  // final the moment the last expansion settles it.
+  const size_t k = expansions.size();
+  std::vector<uint32_t> settled_by(graph.node_id_bound(), 0);
+  MinHeap roots;
+  size_t visited = 0;
+  auto on_settle = [&](uint32_t node) {
+    ++visited;
+    if (++settled_by[node] < k) return;
     double total = 0.0;
-    bool ok = true;
-    for (const Expansion& exp : expansions) {
-      if (exp.dist[v] == kInf) {
-        ok = false;
-        break;
-      }
-      total += exp.dist[v];
-    }
-    if (ok) candidates.emplace_back(total, v);
-  }
-  std::sort(candidates.begin(), candidates.end());
+    for (const Expansion& exp : expansions) total += exp.dist(node);
+    roots.emplace(total, node);
+  };
 
   std::vector<AnswerTree> answers;
   // Deduplicate answers that collapse to the same edge set: a root in the
   // middle of a path and its neighbour can describe the same tree.
   std::set<std::vector<uint32_t>> seen_edge_sets;
-  for (const auto& [total, root] : candidates) {
-    if (answers.size() >= options.top_k) break;
-    AnswerTree tree;
-    tree.root = root;
-    tree.weight = total;
-    std::set<uint32_t> edges;
+  while (answers.size() < options.top_k) {
+    double theta = kInf;
     for (const Expansion& exp : expansions) {
-      tree.keyword_nodes.push_back(exp.source[root]);
-      uint32_t node = root;
-      while (exp.parent[node] != UINT32_MAX) {
-        edges.insert(exp.parent_edge[node]);
-        node = exp.parent[node];
-      }
+      theta = std::min(theta, exp.NextDistance());
     }
-    tree.edge_indices.assign(edges.begin(), edges.end());
-    if (!seen_edge_sets.insert(tree.edge_indices).second) continue;
-    answers.push_back(std::move(tree));
+    for (Expansion& exp : expansions) exp.AdvanceTo(theta, on_settle);
+    // Every node some expansion has not settled lies farther than theta
+    // from that keyword set, so any root found later totals more than
+    // theta: roots up to theta leave the heap in their final order.
+    while (!roots.empty() && roots.top().first <= theta &&
+           answers.size() < options.top_k) {
+      auto [total, root] = roots.top();
+      roots.pop();
+      AnswerTree tree;
+      tree.root = root;
+      tree.weight = total;
+      std::set<uint32_t> edges;
+      for (const Expansion& exp : expansions) {
+        tree.keyword_nodes.push_back(exp.source(root));
+        exp.AddPathEdges(root, &edges);
+      }
+      tree.edge_indices.assign(edges.begin(), edges.end());
+      if (!seen_edge_sets.insert(tree.edge_indices).second) continue;
+      answers.push_back(std::move(tree));
+    }
+    if (theta == kInf) break;
   }
+  if (stats != nullptr) stats->visited_nodes = visited;
   return answers;
 }
 

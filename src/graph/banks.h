@@ -13,7 +13,8 @@
 // ranking as every other method. Tuning knobs (top_k, edge-weight model,
 // expansion radius) live in BanksOptions, embedded in SearchOptions.
 // The expansions iterate the CSR adjacency spans of graph/data_graph.h
-// with per-node entry weights precomputed once per search.
+// with per-node entry weights precomputed once per search, and pause as
+// soon as the top_k answers are final (see BanksBackwardSearch).
 
 #ifndef CLAKS_GRAPH_BANKS_H_
 #define CLAKS_GRAPH_BANKS_H_
@@ -58,16 +59,31 @@ struct AnswerTree {
 /// across search methods (KeywordSearchEngine surfaces visited_nodes as
 /// SearchResult::expansions for SearchMethod::kBanks).
 struct BanksSearchStats {
-  /// Nodes settled across all per-keyword Dijkstra expansions (a node
-  /// reached by every one of `k` expansions counts `k` times — each is a
-  /// separate relaxation wave).
+  /// Nodes settled across all per-keyword Dijkstra expansions before the
+  /// search stopped (a node settled by `k` expansions counts `k` times —
+  /// each is a separate relaxation wave). The expansions stop as soon as
+  /// the top_k answers are final, so this grows with top_k and is at most
+  /// what running every expansion to exhaustion would settle.
   size_t visited_nodes = 0;
 };
 
 /// Runs backward expanding search: one multi-source Dijkstra per keyword
-/// set, then roots ranked by total distance. Returns at most
-/// `options.top_k` trees, best (lightest) first. Empty keyword sets yield
-/// no answers. `stats` (optional) receives the work counters.
+/// set, with roots — nodes every expansion has settled — taken in
+/// (total distance, node) order. Returns at most `options.top_k` trees,
+/// best (lightest) first; trees with the same edge set are returned once.
+/// Empty keyword sets (or top_k 0) yield no answers. `stats` (optional)
+/// receives the work counters.
+///
+/// Stop rule: the expansions advance in lockstep to theta, the smallest
+/// next queued distance of any of them, and roots totalling at most theta
+/// are emitted. The search stops once top_k answers exist or every queue
+/// is empty. This relies on edge weights being non-negative (both
+/// weight models cost at least 1 per edge): a node some expansion has not
+/// settled is then farther than theta from that keyword set, so a root
+/// found later totals more than theta and cannot precede one already
+/// emitted. The answers equal those of running every expansion to
+/// exhaustion and sorting all roots, and a smaller top_k returns a
+/// prefix of a larger one's answers.
 std::vector<AnswerTree> BanksBackwardSearch(
     const DataGraph& graph,
     const std::vector<std::vector<uint32_t>>& keyword_node_sets,

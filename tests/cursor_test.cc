@@ -370,6 +370,68 @@ TEST(CursorScaleTest, PageDrainMatchesSearchAt10x) {
   }
 }
 
+// Only returned hits are rendered: hit i renders to the same string with
+// no truncation (top_k = 0) and under top_k = 10, one-shot or paged at 1,
+// 3 and 10, and that string is the hit's own connection (keyword tuples
+// marked) or tuple tree.
+TEST(CursorScaleTest, RenderedIsUnchangedByTruncationAndPaging) {
+  auto generated = GenerateCompanyDataset(CompanyGenOptions::AtScale(10));
+  ASSERT_TRUE(generated.ok());
+  GeneratedDataset dataset = std::move(generated).ValueOrDie();
+  auto engine_or = KeywordSearchEngine::Create(
+      dataset.db.get(), dataset.er_schema, dataset.mapping);
+  ASSERT_TRUE(engine_or.ok());
+  auto engine = std::move(engine_or).ValueOrDie();
+  const std::string query = "retrieval smith";
+
+  for (SearchMethod method : kAllMethods) {
+    SCOPED_TRACE(SearchMethodToString(method));
+    SearchOptions options;
+    options.method = method;
+    options.max_rdb_edges = 3;
+    options.tmax = 4;
+    // BANKS fetches banks.top_k answers when top_k = 0 and more when
+    // top_k = 10; a small radius keeps both fetches to the whole answer
+    // space, so the two runs rank the same candidates.
+    options.banks.max_distance = 2;
+    options.banks.top_k = 5000;
+    options.top_k = 0;
+    auto full = engine->Search(query, options);
+    ASSERT_TRUE(full.ok());
+    ASSERT_GT(full->hits.size(), 10u);
+    if (method == SearchMethod::kBanks) {
+      ASSERT_LT(full->hits.size(), options.banks.top_k);
+    }
+    for (const SearchHit& hit : full->hits) {
+      EXPECT_EQ(hit.rendered,
+                hit.connection.has_value()
+                    ? hit.connection->ToAnnotatedString(*dataset.db,
+                                                        full->keyword_of)
+                    : hit.tree.ToString(engine->data_graph()));
+    }
+
+    options.top_k = 10;
+    auto top10 = engine->Search(query, options);
+    ASSERT_TRUE(top10.ok());
+    ASSERT_EQ(top10->hits.size(), 10u);
+    std::vector<std::vector<SearchHit>> runs;
+    for (size_t page_size : {1u, 3u, 10u}) {
+      auto prepared =
+          engine->Prepare(query, QuerySpec::Unvalidated(options));
+      ASSERT_TRUE(prepared.ok());
+      runs.push_back(DrainPages(*prepared, page_size));
+    }
+    runs.push_back(std::move(top10->hits));
+    for (const std::vector<SearchHit>& run : runs) {
+      ASSERT_EQ(run.size(), 10u);
+      for (size_t i = 0; i < run.size(); ++i) {
+        EXPECT_FALSE(run[i].rendered.empty()) << "hit " << i;
+        EXPECT_EQ(run[i].rendered, full->hits[i].rendered) << "hit " << i;
+      }
+    }
+  }
+}
+
 // The acceptance property: at 100x, fetching page 1 of a top-10 kStream
 // query performs strictly fewer expansions than draining the space.
 TEST(CursorScaleTest, StreamPageOneAt100xBeatsDraining) {

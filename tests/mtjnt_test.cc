@@ -243,6 +243,27 @@ TEST_F(MtjntTest, CanonicalFormDeduplicates) {
   EXPECT_NE(a.Canonical(), c.Canonical());
 }
 
+// Pins the exact canonical strings, so a change in how they are built
+// cannot silently change the deduplication key: "(table;mask" per node,
+// then its children sorted, each as "[fk" plus '<' (the child references)
+// or '>' (the child is referenced), the child's encoding and "]".
+TEST_F(MtjntTest, CanonicalStringsArePinned) {
+  CandidateNetwork one;
+  one.nodes = {CnNode{12, 2147483649u}};
+  EXPECT_EQ(one.Canonical(), "(12;2147483649)");
+
+  CandidateNetwork two;
+  two.nodes = {CnNode{7, 1}, CnNode{3, 10}};
+  two.edges = {{0, 1, 11, true}};
+  EXPECT_EQ(two.Canonical(), "(3;10[11<(7;1)])");
+
+  // A free middle node joining two keyword nodes, reached both ways.
+  CandidateNetwork three;
+  three.nodes = {CnNode{5, 0}, CnNode{12, 1}, CnNode{4, 2}};
+  three.edges = {{1, 0, 10, true}, {0, 2, 2, false}};
+  EXPECT_EQ(three.Canonical(), "(12;1[10>(5;0[2<(4;2)])])");
+}
+
 TEST_F(MtjntTest, DiscoverThreeKeywords) {
   auto matches = MatchKeywords(
       *index_, ParseKeywordQuery("Smith XML Alice", index_->tokenizer()));

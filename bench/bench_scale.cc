@@ -6,13 +6,14 @@
 // generation, FK join-index build, CSR data-graph construction, engine
 // creation), per-method query latency and result counts, and the speedup
 // of the indexed execution paths over the seed scan paths (FK edge
-// resolution and DISCOVER candidate-network evaluation). Since
-// schema_version 2 each scale also sweeps intra-query sharding
-// (--shards=1,2,4): the hash partition's node/edge balance
-// (MakeShardPartition skew, max/mean), and a streaming top-k query run
-// per shard count with per-shard expansion counters and the latency
-// speedup over shards=1 — interpret speedups against the recorded
+// resolution and DISCOVER candidate-network evaluation). Each scale
+// also sweeps intra-query sharding (--shards=1,2,4) over the methods that
+// fan out, kEnumerate and kDiscover: one top-k query per method and
+// shard count, checked identical to shards=1, with the latency speedup
+// over shards=1 — interpret speedups against the recorded
 // hardware_threads (a single-core runner cannot show wall-clock wins).
+// Schema_version 4 re-pointed that sweep from kStream (which runs one
+// serial stream at every shard count) and dropped its skew fields.
 // Since schema_version 3 each scale also exercises the storage subsystem
 // (src/storage/): the warmed engine is serialized to a snapshot file and
 // mmap-loaded back, recording save/load wall times, the file size, and
@@ -30,11 +31,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/mtjnt.h"
-#include "core/shard.h"
 #include "datasets/company_gen.h"
 #include "storage/snapshot.h"
 
@@ -68,20 +69,12 @@ struct QueryRecord {
   size_t results = 0;
 };
 
-/// max/mean over per-shard counters: 1.0 = perfectly balanced. Thin
-/// shim over the shared skew math in observability/metrics.h.
-double Skew(const std::vector<size_t>& per_shard) {
-  return claks::ComputeSkew(per_shard).ratio;
-}
-
 struct ShardScaleRecord {
+  std::string method;
   size_t shards = 1;
-  double node_skew = 1.0;  // MakeShardPartition node balance
-  double edge_skew = 1.0;  // owned-edge balance
-  double stream_ms = 0.0;
-  size_t expansions = 0;
-  std::vector<size_t> per_shard;  // expansion counters (empty at 1)
-  bool identical = true;          // hits vs the shards=1 run
+  double latency_ms = 0.0;
+  size_t results = 0;
+  bool identical = true;  // hits vs the method's shards=1 run
 };
 
 struct SnapshotRecord {
@@ -240,50 +233,49 @@ ScaleRecord RunScale(size_t scale, size_t tmax, size_t reps,
     CLAKS_CHECK(record.discover_eval_equal);
   }
 
-  // Intra-query sharding sweep: partition balance of the hash partition
-  // at each shard count, plus a streaming top-k run per count. Result
-  // order must stay identical at every shard count (the differential
-  // suite's guarantee, re-checked here on the benchmark instance).
+  // Intra-query sharding sweep over the methods that fan out. Results
+  // must stay identical at every shard count (the differential suite's
+  // guarantee, re-checked here on the benchmark instance).
   {
     record.shard_query = kQueries[2];
-    claks::SearchOptions options;
-    options.method = claks::SearchMethod::kStream;
-    options.ranker = claks::RankerKind::kRdbLength;
-    options.top_k = 10;
-    options.max_rdb_edges = tmax - 1;
+    const std::pair<const char*, claks::SearchMethod> kShardMethods[] = {
+        {"enumerate", claks::SearchMethod::kEnumerate},
+        {"discover", claks::SearchMethod::kDiscover}};
+    for (const auto& [name, method] : kShardMethods) {
+      claks::SearchOptions options;
+      options.method = method;
+      options.top_k = 10;
+      options.tmax = tmax;
+      options.max_rdb_edges = tmax - 1;
 
-    std::vector<claks::TupleTree> unsharded;
-    bool have_baseline = false;
-    for (size_t shards : shard_counts) {
-      ShardScaleRecord sr;
-      sr.shards = shards;
-      claks::ShardPartition partition =
-          claks::MakeShardPartition(engine->data_graph(), shards);
-      sr.node_skew = Skew(partition.node_counts);
-      sr.edge_skew = Skew(partition.edge_counts);
+      std::vector<claks::TupleTree> unsharded;
+      bool have_baseline = false;
+      for (size_t shards : shard_counts) {
+        ShardScaleRecord sr;
+        sr.method = name;
+        sr.shards = shards;
+        options.shards = shards;
+        claks::SearchResult sharded;
+        sr.latency_ms = TimeMs(reps, [&] {
+          auto result = engine->Search(record.shard_query, options);
+          CLAKS_CHECK(result.ok());
+          sharded = std::move(result).ValueOrDie();
+        });
+        sr.results = sharded.hits.size();
 
-      options.shards = shards;
-      claks::SearchResult sharded;
-      sr.stream_ms = TimeMs(reps, [&] {
-        auto result = engine->Search(record.shard_query, options);
-        CLAKS_CHECK(result.ok());
-        sharded = std::move(result).ValueOrDie();
-      });
-      sr.expansions = sharded.expansions;
-      sr.per_shard = sharded.shard_expansions;
-
-      std::vector<claks::TupleTree> trees;
-      for (const claks::SearchHit& hit : sharded.hits) {
-        trees.push_back(hit.tree);
+        std::vector<claks::TupleTree> trees;
+        for (const claks::SearchHit& hit : sharded.hits) {
+          trees.push_back(hit.tree);
+        }
+        if (shards == 1) {
+          unsharded = std::move(trees);
+          have_baseline = true;
+        } else if (have_baseline) {
+          sr.identical = trees == unsharded;
+          CLAKS_CHECK(sr.identical);
+        }
+        record.shard_sweep.push_back(std::move(sr));
       }
-      if (shards == 1) {
-        unsharded = std::move(trees);
-        have_baseline = true;
-      } else if (have_baseline) {
-        sr.identical = trees == unsharded;
-        CLAKS_CHECK(sr.identical);
-      }
-      record.shard_sweep.push_back(std::move(sr));
     }
   }
 
@@ -348,11 +340,19 @@ double Ratio(double baseline_ms, double indexed_ms) {
   return indexed_ms > 0.0 ? baseline_ms / indexed_ms : 0.0;
 }
 
+/// Latency of `method`'s shards=1 rung (0 when the sweep has none).
+double UnshardedMs(const ScaleRecord& record, const std::string& method) {
+  for (const ShardScaleRecord& sr : record.shard_sweep) {
+    if (sr.method == method && sr.shards == 1) return sr.latency_ms;
+  }
+  return 0.0;
+}
+
 void WriteJson(std::FILE* f, const std::vector<ScaleRecord>& records,
                size_t tmax, size_t reps) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"bench_scale\",\n");
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"dataset\": \"company_gen\",\n");
   std::fprintf(f, "  \"tmax\": %zu,\n", tmax);
   std::fprintf(f, "  \"reps\": %zu,\n", reps);
@@ -414,30 +414,20 @@ void WriteJson(std::FILE* f, const std::vector<ScaleRecord>& records,
                  Ratio(r.snapshot.build_first_query_ms,
                        r.snapshot.cold_start_first_query_ms));
     std::fprintf(f, "      },\n");
-    // Shard sweep: speedup vs the shards=1 rung, skews are max/mean.
-    double unsharded_ms = 0.0;
-    for (const ShardScaleRecord& sr : r.shard_sweep) {
-      if (sr.shards == 1) unsharded_ms = sr.stream_ms;
-    }
+    // Shard sweep: speedup vs the same method's shards=1 rung.
     std::fprintf(f, "      \"shard_query\": \"%s\",\n",
                  r.shard_query.c_str());
     std::fprintf(f, "      \"shards\": [\n");
     for (size_t s = 0; s < r.shard_sweep.size(); ++s) {
       const ShardScaleRecord& sr = r.shard_sweep[s];
       std::fprintf(f,
-                   "        {\"shards\": %zu, \"node_skew\": %.2f, "
-                   "\"edge_skew\": %.2f, \"stream_ms\": %.3f, "
-                   "\"expansions\": %zu, \"per_shard_expansions\": [",
-                   sr.shards, sr.node_skew, sr.edge_skew, sr.stream_ms,
-                   sr.expansions);
-      for (size_t p = 0; p < sr.per_shard.size(); ++p) {
-        std::fprintf(f, "%s%zu", p == 0 ? "" : ", ", sr.per_shard[p]);
-      }
-      std::fprintf(f,
-                   "], \"work_skew\": %.2f, \"identical_results\": %s, "
+                   "        {\"method\": \"%s\", \"shards\": %zu, "
+                   "\"latency_ms\": %.3f, \"results\": %zu, "
+                   "\"identical_results\": %s, "
                    "\"speedup_vs_unsharded\": %.2f}%s\n",
-                   Skew(sr.per_shard), sr.identical ? "true" : "false",
-                   Ratio(unsharded_ms, sr.stream_ms),
+                   sr.method.c_str(), sr.shards, sr.latency_ms, sr.results,
+                   sr.identical ? "true" : "false",
+                   Ratio(UnshardedMs(r, sr.method), sr.latency_ms),
                    s + 1 < r.shard_sweep.size() ? "," : "");
     }
     std::fprintf(f, "      ]\n");
@@ -519,17 +509,11 @@ int main(int argc, char** argv) {
                 record.discover_eval_indexed_ms, record.discover_eval_scan_ms,
                 Ratio(record.discover_eval_scan_ms,
                       record.discover_eval_indexed_ms));
-    double unsharded_ms = 0.0;
     for (const ShardScaleRecord& sr : record.shard_sweep) {
-      if (sr.shards == 1) unsharded_ms = sr.stream_ms;
-    }
-    for (const ShardScaleRecord& sr : record.shard_sweep) {
-      std::printf(
-          "  shards=%zu: stream %-22s %8.2fms  %6zu expansions "
-          "(node skew %.2f, work skew %.2f, %.2fx vs unsharded)\n",
-          sr.shards, record.shard_query.c_str(), sr.stream_ms,
-          sr.expansions, sr.node_skew, Skew(sr.per_shard),
-          Ratio(unsharded_ms, sr.stream_ms));
+      std::printf("  shards=%zu: %-9s %-22s %8.2fms  (%.2fx vs unsharded)\n",
+                  sr.shards, sr.method.c_str(), record.shard_query.c_str(),
+                  sr.latency_ms,
+                  Ratio(UnshardedMs(record, sr.method), sr.latency_ms));
     }
     std::printf(
         "  snapshot: save %.1fms (%zu bytes), load %.2fms | cold start "

@@ -17,9 +17,11 @@
 //   --depth=N           max FK edges for enumerate/stream (default 4)
 //   --tmax=N            max tuples for mtjnt/discover (default 5)
 //   --top=N             result cap (default 10)
-//   --shards=N          intra-query sharding: fan one query out over N
-//                       seed shards (default 1 = single-threaded;
-//                       results are identical for every N)
+//   --shards=N          intra-query sharding of the materialized
+//                       methods: fan analysis (and enumerate's seed
+//                       space) out over N shards (default 1 =
+//                       single-threaded; results are identical for every
+//                       N). --method=stream runs serially at every N.
 //   --page-size=N       incremental paging: prepare the query, open a
 //                       cursor and fetch N hits at a time (interactive:
 //                       waits for Enter between pages when stdin is a
@@ -108,7 +110,7 @@ struct Flags {
   size_t depth = 4;
   size_t tmax = 5;
   size_t top = 10;
-  size_t shards = 1;  // > 1: intra-query sharding (core/shard.h)
+  size_t shards = 1;  // > 1: materialized-method fan-out (core/shard.h)
   size_t page_size = 0;  // > 0: prepared-query + cursor paging
   bool explain = false;
   bool sql = false;

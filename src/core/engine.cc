@@ -656,7 +656,6 @@ Result<SearchResult> KeywordSearchEngine::Search(
   }
   CursorStats stats = cursor->Stats();
   result.expansions = stats.expansions;
-  result.shard_expansions = std::move(stats.shard_expansions);
   result.profile = std::move(stats.profile);
   // The drain is complete: no cursor call follows, so the prepared
   // metadata can be moved out rather than copied (the cursor only reads

@@ -83,18 +83,9 @@ struct SearchResult {
   /// expansion for SearchMethod::kBanks, 0 for the exhaustive methods
   /// (kEnumerate/kMtjnt/kDiscover visit the whole bounded space by
   /// definition). The scale benchmarks compare kStream's value against a
-  /// full drain to measure how much work early termination saved.
-  ///
-  /// Under intra-query sharding (SearchOptions::shards > 1, streaming
-  /// path) this is the sum of the per-shard stream counters in
-  /// shard-index order — a stable, deterministic aggregation, so
-  /// expansion-count regression tests stay exact under sharding.
+  /// full drain to measure how much work early termination saved. It
+  /// does not depend on SearchOptions::shards.
   size_t expansions = 0;
-
-  /// Per-shard expansion counters behind `expansions` (empty when the
-  /// query ran unsharded or through a materialized method). Work-skew
-  /// diagnostics for the benches' --shards sweeps.
-  std::vector<size_t> shard_expansions;
 
   /// Per-stage wall times and work counters, set when
   /// SearchOptions::profile was on (observability/profile.h). Hits and
@@ -266,10 +257,10 @@ class KeywordSearchEngine {
   size_t overlay_ops() const { return overlay_ops_; }
 
   /// The engine-owned intra-query execution context (core/shard.h):
-  /// a dedicated thread pool per-shard scatter tasks run on. Created
-  /// lazily on the first sharded query — unsharded workloads never
-  /// start extra threads — and shared by every sharded query on this
-  /// engine thereafter. Never the service's admission pool: a query
+  /// a dedicated thread pool the materialized methods' shard tasks run
+  /// on. Created lazily on the first sharded query — unsharded workloads
+  /// never start extra threads — and shared by every sharded query on
+  /// this engine thereafter. Never the service's admission pool: a query
   /// task fanning out on its own bounded pool could deadlock; shard
   /// tasks are pure compute and never block, so this pool cannot.
   ///

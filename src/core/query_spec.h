@@ -85,12 +85,14 @@ struct SearchOptions {
   /// connection's association can be "implicitly visible" in shorter ones
   /// between the same tuples (§3); this collapses such groups.
   size_t per_endpoint_limit = 0;
-  /// Intra-query shards: with N > 1 one query fans out over N seed
-  /// partitions of the data graph on the engine's intra-query pool and a
-  /// scatter-gather merger recombines the per-shard streams
-  /// (core/shard.h). Results are byte-identical to shards == 1 for every
-  /// method and ranker (the differential suite proves it); 1 is the
-  /// single-threaded path, bit-for-bit the pre-sharding engine.
+  /// Intra-query shards for the materialized methods (kEnumerate,
+  /// kMtjnt, kDiscover, kBanks): with N > 1 candidate analysis — and
+  /// kEnumerate's candidate enumeration over N seed partitions — fans out
+  /// on the engine's intra-query pool (core/shard.h). Two-keyword kStream
+  /// runs its one serial connection stream at every value. Results and
+  /// work counters are byte-identical to shards == 1 for every method and
+  /// ranker (the differential suite proves it); 1 is the single-threaded
+  /// path.
   size_t shards = 1;
   /// Collect a per-stage QueryProfile (observability/profile.h) while the
   /// query runs and attach it to CursorStats::profile /

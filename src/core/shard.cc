@@ -3,10 +3,14 @@
 #include "core/shard.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "common/macros.h"
-#include "observability/trace.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace claks {
 
@@ -23,34 +27,8 @@ uint32_t ShardOfNode(uint32_t node, size_t num_shards) {
   return static_cast<uint32_t>(x % num_shards);
 }
 
-uint32_t ShardOfEdge(const DataGraph& graph, uint32_t edge_index,
-                     size_t num_shards) {
-  return ShardOfNode(graph.NodeOf(graph.edge(edge_index).from), num_shards);
-}
-
 size_t EffectiveShards(size_t requested) {
   return requested == 0 ? 1 : requested;
-}
-
-ShardPartition MakeShardPartition(const DataGraph& graph,
-                                  size_t num_shards) {
-  num_shards = EffectiveShards(num_shards);
-  ShardPartition partition;
-  partition.num_shards = num_shards;
-  partition.shard_of_node.reserve(graph.node_id_bound());
-  partition.node_counts.assign(num_shards, 0);
-  partition.edge_counts.assign(num_shards, 0);
-  // Node ids are slack-gapped: the lookup table covers the whole id space
-  // but only real row slots count toward the balance stats.
-  for (uint32_t node = 0; node < graph.node_id_bound(); ++node) {
-    uint32_t shard = ShardOfNode(node, num_shards);
-    partition.shard_of_node.push_back(shard);
-    if (graph.IsNode(node)) ++partition.node_counts[shard];
-  }
-  for (uint32_t edge : graph.EdgeIds()) {
-    ++partition.edge_counts[ShardOfEdge(graph, edge, num_shards)];
-  }
-  return partition;
 }
 
 namespace {
@@ -60,22 +38,6 @@ size_t IntraQueryThreads() {
   if (hw == 0) hw = 1;
   return std::min<size_t>(hw, 16);
 }
-
-/// Emissions a fill task pulls ahead per shard per round. Bounds how
-/// much analysed-but-never-emitted work a settling query can waste (at
-/// most this many per shard) while giving shard tasks enough work to
-/// overlap.
-constexpr size_t kPrefetchBatch = 8;
-
-// Scatter-gather counters (catalog: docs/OBSERVABILITY.md): how often
-// the merge scheduled fill tasks, emitted, and paused shards at a
-// settle bound.
-CLAKS_METRIC_COUNTER(g_shard_fills, "claks_shard_fill_tasks_total",
-                     "Shard fill tasks scheduled by the scatter half");
-CLAKS_METRIC_COUNTER(g_shard_merges, "claks_shard_merge_emissions_total",
-                     "Emissions handed out by the gather-side merge");
-CLAKS_METRIC_COUNTER(g_shard_pauses, "claks_shard_pauses_total",
-                     "Shard streams paused at a settle bound (not drained)");
 
 }  // namespace
 
@@ -104,223 +66,6 @@ void RunAndWait(ThreadPool* pool,
   }
   MutexLock lock(&rendezvous.mutex);
   while (rendezvous.outstanding != 0) rendezvous.done.wait(lock.native());
-}
-
-RankedSeedSets RankSeedSets(const std::vector<uint32_t>& side_a,
-                            const std::vector<uint32_t>& side_b) {
-  // Mirror of ConnectionStream::AddLane's numbering: dedup each side
-  // preserving order, ranks contiguous across sides (A first).
-  RankedSeedSets sets;
-  uint64_t rank = 0;
-  std::set<uint32_t> seen_a;
-  for (uint32_t node : side_a) {
-    if (seen_a.insert(node).second) {
-      sets.side_a.push_back(RankedSeed{node, rank++});
-    }
-  }
-  std::set<uint32_t> seen_b;
-  for (uint32_t node : side_b) {
-    if (seen_b.insert(node).second) {
-      sets.side_b.push_back(RankedSeed{node, rank++});
-    }
-  }
-  return sets;
-}
-
-ShardedStreamSource::ShardedStreamSource(
-    const DataGraph* graph, const std::vector<uint32_t>& side_a,
-    const std::vector<uint32_t>& side_b, size_t max_edges,
-    size_t num_shards, ThreadPool* pool, AnalyzeFn analyze)
-    : graph_(graph), pool_(pool), analyze_(std::move(analyze)) {
-  CLAKS_CHECK(graph_ != nullptr);
-  CLAKS_CHECK(pool_ != nullptr);
-  num_shards = EffectiveShards(num_shards);
-  shards_.reserve(num_shards);
-  RankedSeedSets ranked = RankSeedSets(side_a, side_b);
-  for (size_t s = 0; s < num_shards; ++s) {
-    RankedLane lane_a;
-    lane_a.targets = side_b;
-    for (const RankedSeed& seed : ranked.side_a) {
-      if (ShardOfNode(seed.node, num_shards) == s) {
-        lane_a.seeds.push_back(seed);
-      }
-    }
-    RankedLane lane_b;
-    lane_b.targets = side_a;
-    for (const RankedSeed& seed : ranked.side_b) {
-      if (ShardOfNode(seed.node, num_shards) == s) {
-        lane_b.seeds.push_back(seed);
-      }
-    }
-    Shard shard;
-    shard.stream = std::make_unique<ConnectionStream>(
-        ConnectionStream::BidirectionalRanked(
-            graph_, std::move(lane_a), std::move(lane_b), max_edges));
-    shard.exhausted = !shard.stream->PendingLength().has_value();
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void ShardedStreamSource::FillAll(size_t stop_length) {
-  // No tasks are outstanding here (Next only runs after the previous
-  // rendezvous), so the scan reads shard state without the lock.
-  std::vector<size_t> to_fill;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = shards_[i];
-    if (shard.exhausted || !shard.buffer.empty()) continue;
-    if (shard.paused && shard.paused_at == stop_length) continue;
-    to_fill.push_back(i);
-  }
-  if (to_fill.empty()) return;
-  g_shard_fills.Inc(to_fill.size());
-  {
-    MutexLock lock(&mutex_);
-    outstanding_ += to_fill.size();
-  }
-  // Captured on the consumer thread: fill spans on the pool threads
-  // parent under the consumer's current span (the page's stream span),
-  // so the trace shows which page each shard worked for.
-  TraceContext trace_context = TraceSpan::Capture();
-  for (size_t i : to_fill) {
-    Shard* shard = &shards_[i];
-    pool_->Submit([this, shard, stop_length, trace_context,
-                   shard_index = i] {
-      TraceSpan fill_span(trace_context, "shard-fill");
-      fill_span.SetArg("shard", shard_index);
-      std::deque<Emission> got;
-      Status status = Status::OK();
-      while (got.size() < kPrefetchBatch) {
-        std::optional<KeyedPath> keyed =
-            shard->stream->NextKeyedPath(stop_length);
-        if (!keyed.has_value()) break;
-        Result<SearchHit> hit = analyze_(keyed->path);
-        if (!hit.ok()) {
-          status = hit.status();
-          break;
-        }
-        got.push_back(
-            Emission{std::move(*keyed), std::move(hit).ValueUnsafe()});
-      }
-      bool exhausted = !shard->stream->PendingLength().has_value();
-      if (got.empty() && !exhausted) g_shard_pauses.Inc();
-      size_t expansions = shard->stream->expansions();
-      MutexLock lock(&mutex_);
-      shard->exhausted = exhausted;
-      shard->paused = got.empty() && !exhausted;
-      shard->paused_at = stop_length;
-      shard->buffer = std::move(got);
-      shard->expansions = expansions;
-      if (!status.ok() && fill_status_.ok()) fill_status_ = status;
-      if (--outstanding_ == 0) fills_done_.notify_all();
-    });
-  }
-  MutexLock lock(&mutex_);
-  while (outstanding_ != 0) fills_done_.wait(lock.native());
-}
-
-Result<std::optional<ShardedStreamSource::Emission>>
-ShardedStreamSource::Next(size_t stop_length) {
-  last_stop_ = stop_length;
-  while (true) {
-    FillAll(stop_length);
-    {
-      // No fill task is outstanding after FillAll, but the error slot is
-      // a guarded field — read it under its lock.
-      MutexLock lock(&mutex_);
-      if (!fill_status_.ok()) return fill_status_;
-    }
-    // Gather: the minimal buffered (length, seed_rank) head is the
-    // globally next emission. Shards never share a seed, so the key has
-    // no cross-shard ties; a shard with an empty buffer is exhausted or
-    // paused at the bound, and a paused shard's next emission has
-    // length >= stop_length — it can never outrank a live head.
-    size_t best = shards_.size();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const std::deque<Emission>& buffer = shards_[i].buffer;
-      if (buffer.empty()) continue;
-      if (best == shards_.size() ||
-          std::make_pair(buffer.front().keyed.length,
-                         buffer.front().keyed.seed_rank) <
-              std::make_pair(shards_[best].buffer.front().keyed.length,
-                             shards_[best].buffer.front().keyed.seed_rank)) {
-        best = i;
-      }
-    }
-    if (best == shards_.size()) return std::optional<Emission>(std::nullopt);
-    if (shards_[best].buffer.front().keyed.length >= stop_length) {
-      // Every head sits at or past the bound: globally paused, buffers
-      // intact for the next (possibly larger) bound.
-      return std::optional<Emission>(std::nullopt);
-    }
-    Emission emission = std::move(shards_[best].buffer.front());
-    shards_[best].buffer.pop_front();
-    // Cross-shard dedup in merge order (same canonical form as the
-    // stream's own MarkEmitted): the first arrival wins — the same
-    // representative the unsharded stream keeps, because merge order
-    // equals unsharded order.
-    std::vector<uint32_t> nodes = emission.keyed.path.Nodes();
-    std::sort(nodes.begin(), nodes.end());
-    std::vector<uint32_t> edges;
-    edges.reserve(emission.keyed.path.steps.size());
-    for (const DataAdjacency& step : emission.keyed.path.steps) {
-      edges.push_back(step.edge_index);
-    }
-    std::sort(edges.begin(), edges.end());
-    if (!emitted_.insert({std::move(nodes), std::move(edges)}).second) {
-      continue;  // duplicate; the drained shard refills next round
-    }
-    g_shard_merges.Inc();
-    return std::optional<Emission>(std::move(emission));
-  }
-}
-
-std::optional<size_t> ShardedStreamSource::PendingLength() const {
-  std::optional<size_t> min;
-  for (const Shard& shard : shards_) {
-    std::optional<size_t> candidate;
-    if (!shard.buffer.empty()) {
-      candidate = shard.buffer.front().keyed.length;
-    } else if (!shard.exhausted) {
-      candidate = shard.stream->PendingLength();
-    } else {
-      // Knowledge-horizon parity with the unsharded stream. A prefetch
-      // batch may have run under a stale (larger) stop bound and drained
-      // this shard's stream to physical exhaustion, popping frontiers at
-      // or past the bound the caller last paused at — frontiers the
-      // unsharded stream, pulled one emission at a time under the
-      // tightened bound, would still hold in its queue. Report them as
-      // pending at the pause bound (a valid lower bound: they are at
-      // least that long), so the streaming cursor learns exhaustion on
-      // exactly the same Next call as the single-stream path and page
-      // boundaries stay byte-identical. Pop order is length-
-      // nondecreasing, so MaxPoppedLength is a complete record.
-      std::optional<size_t> max_popped = shard.stream->MaxPoppedLength();
-      if (max_popped.has_value() && *max_popped >= last_stop_) {
-        candidate = last_stop_;
-      }
-    }
-    if (candidate.has_value() && (!min.has_value() || *candidate < *min)) {
-      min = candidate;
-    }
-  }
-  return min;
-}
-
-size_t ShardedStreamSource::TotalExpansions() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.expansions;
-  return total;
-}
-
-std::vector<size_t> ShardedStreamSource::ShardExpansions() const {
-  std::vector<size_t> counts;
-  counts.reserve(shards_.size());
-  for (const Shard& shard : shards_) counts.push_back(shard.expansions);
-  return counts;
-}
-
-SkewSummary ShardedStreamSource::WorkSkew() const {
-  return ComputeSkew(ShardExpansions());
 }
 
 Result<std::vector<SearchHit>> AnalyzeTreesParallel(

@@ -1,60 +1,37 @@
 // Copyright 2026 The claks Authors.
 //
-// Intra-query sharding: one query fans out over N shards of the data
-// graph and the scatter-gather merger recombines the per-shard streams
-// into exactly the unsharded result sequence.
+// Intra-query sharding of the materialized methods: with
+// SearchOptions::shards = N > 1, kEnumerate splits its candidate
+// enumeration over N source-seed shards (EnumerateBetweenSetsSharded in
+// core/engine.cc) and every materialized method analyses its candidate
+// trees in parallel (AnalyzeTreesParallel). Both fan out on one
+// engine-owned ShardContext pool and recombine in a fixed order, so
+// results are byte-identical to shards == 1.
 //
 // The partition hashes dense node ids (ShardOfNode), so a tuple's shard
-// is pure arithmetic and the table-major id layout is respected: shard
-// slices keep the shared CSR of graph/data_graph.h and every FK edge
-// stays resolvable from either endpoint, with ShardOfEdge assigning each
-// cross-shard edge to exactly one owner (the referencing side). What is
-// partitioned is the *seed space*: each shard's ConnectionStream is
-// seeded with the keyword-match nodes hashed to it, carrying the rank
-// those seeds hold in the full unsharded stream
-// (ConnectionStream::BidirectionalRanked).
+// is pure arithmetic and independent of the table-major id layout.
 //
-// Correctness rests on the stream's emission-order contract
-// (core/topk.h, NextKeyedPath): within one RDB-length level emissions
-// are seed-major, so a shard's stream emits the global order restricted
-// to its seeds, and ShardedStreamSource reconstructs the global order by
-// always emitting the minimal buffered (length, seed_rank) head. The
-// settled-k predicate is applied globally by the caller: a stop bound
-// derived from MinSortKeyAtLength pauses every shard whose next emission
-// cannot beat the provisional top-k — paused shards keep their queues
-// intact and resume when a later page raises the bound; they are never
-// drained. Non-monotone rankers pass kNoStopLength and get a full
-// per-shard drain + merge, exactly like the unsharded kStream fallback.
+// Two-keyword kStream does not fan out: it runs the one serial
+// ConnectionStream (core/topk.h) at every shard count, because its cost
+// is the serial expansion count and splitting the seed space only added
+// expansions.
 //
-// Thread model: shard fill tasks run on an engine-owned ShardContext
-// pool (never on the service's bounded admission pool — a query task
-// spawning sub-tasks on its own pool could deadlock on a full queue;
-// shard tasks are pure compute and never block). AnalyzeTree is const
-// and data-race-free on a warmed engine, so fills analyse candidates in
-// parallel. Per-shard expansion counters are a deterministic function of
-// the stop schedule — independent of thread interleaving — and
-// aggregate in stable shard-index order (TotalExpansions), keeping
-// SearchResult::expansions exact under sharding.
+// Thread model: shard tasks run on the ShardContext pool (never on the
+// service's bounded admission pool — a query task spawning sub-tasks on
+// its own pool could deadlock on a full queue; shard tasks are pure
+// compute and never block). AnalyzeTree is const and data-race-free on a
+// warmed engine, so tasks analyse candidates in parallel.
 
 #ifndef CLAKS_CORE_SHARD_H_
 #define CLAKS_CORE_SHARD_H_
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <set>
-#include <utility>
+#include <map>
+#include <string>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
-#include "core/topk.h"
-#include "graph/data_graph.h"
-#include "observability/metrics.h"
 
 namespace claks {
 
@@ -63,29 +40,10 @@ namespace claks {
 /// the table-major id layout, identical on every run and platform.
 uint32_t ShardOfNode(uint32_t node, size_t num_shards);
 
-/// Owner of an FK edge: the shard of its referencing (`from`) endpoint.
-/// A cross-shard edge is therefore seen by exactly one side — the
-/// invariant tests/shard_test.cc asserts.
-uint32_t ShardOfEdge(const DataGraph& graph, uint32_t edge_index,
-                     size_t num_shards);
-
 /// Requested shard count normalized for execution: 0 (only reachable
 /// through the unvalidated legacy facade) behaves like 1, everything
 /// else passes through. 1 means the single-threaded unsharded path.
 size_t EffectiveShards(size_t requested);
-
-/// A materialized N-way node partition (the inspectable form of
-/// ShardOfNode, for tests, diagnostics and benchmark skew reporting —
-/// query execution hashes seeds on the fly and never builds this).
-struct ShardPartition {
-  size_t num_shards = 1;
-  std::vector<uint32_t> shard_of_node;  ///< indexed by dense node id
-  std::vector<size_t> node_counts;      ///< nodes per shard
-  std::vector<size_t> edge_counts;      ///< owned edges per shard
-};
-
-ShardPartition MakeShardPartition(const DataGraph& graph,
-                                  size_t num_shards);
 
 /// Engine-owned context for intra-query parallelism: one dedicated
 /// ThreadPool shared by every sharded query on the engine. Created
@@ -105,135 +63,6 @@ class ShardContext {
 /// is shared across concurrent queries, so draining it would wait on
 /// strangers. Tasks run concurrently; exceptions must not escape them.
 void RunAndWait(ThreadPool* pool, std::vector<std::function<void()>> tasks);
-
-/// The two keyword-side seed lists of a bidirectional stream with their
-/// global ranks assigned: side A deduplicated in order with ranks
-/// 0..A-1, side B with ranks A..A+B-1 — exactly the numbering
-/// ConnectionStream::Bidirectional produces internally, so per-shard
-/// slices built from these agree with the unsharded stream on every
-/// seed's rank.
-struct RankedSeedSets {
-  std::vector<RankedSeed> side_a;
-  std::vector<RankedSeed> side_b;
-};
-
-RankedSeedSets RankSeedSets(const std::vector<uint32_t>& side_a,
-                            const std::vector<uint32_t>& side_b);
-
-/// Scatter-gather merger over per-shard connection streams: the sharded
-/// drop-in for the single ConnectionStream inside the streaming cursor.
-/// Emissions come out in exactly the unsharded stream's order (hits are
-/// analysed on the shard tasks and carried along), under any schedule of
-/// stop bounds. Single-consumer, like the stream it replaces.
-class ShardedStreamSource {
- public:
-  /// One merged emission: the path's merge coordinates plus its analysed
-  /// hit (produced by `analyze` on a shard task).
-  struct Emission {
-    KeyedPath keyed;
-    SearchHit hit;
-  };
-
-  /// Analysis callback run per candidate on shard fill tasks; must be
-  /// safe to invoke concurrently from multiple threads (the engine's
-  /// AnalyzeTree on a warmed engine is).
-  using AnalyzeFn = std::function<Result<SearchHit>(const NodePath&)>;
-
-  /// Builds `num_shards` per-shard streams over the full graph, seeding
-  /// shard s with the side-A/side-B match nodes whose ShardOfNode is s
-  /// (global ranks preserved). Every shard keeps the full opposite-side
-  /// target set: a connection may end anywhere.
-  ShardedStreamSource(const DataGraph* graph,
-                      const std::vector<uint32_t>& side_a,
-                      const std::vector<uint32_t>& side_b, size_t max_edges,
-                      size_t num_shards, ThreadPool* pool,
-                      AnalyzeFn analyze);
-
-  /// Next emission with length < stop_length in unsharded order, or
-  /// nullopt when every shard is exhausted or paused at the bound.
-  /// Pausing leaves all per-shard queues intact — a later call with a
-  /// larger bound resumes them. Returns the first analysis error raised
-  /// on any shard task.
-  Result<std::optional<Emission>> Next(size_t stop_length)
-      CLAKS_EXCLUDES(mutex_);
-
-  /// Lower bound on the length of every future emission: min over
-  /// buffered heads and per-shard pending partial paths. nullopt once
-  /// fully exhausted (the cursor's drain test, like the unsharded
-  /// stream's PendingLength). Matches the *unsharded* stream's knowledge
-  /// horizon, not the physical shard state: a shard drained by a
-  /// prefetch batch past the last stop bound still reports a pending at
-  /// that bound as long as it popped frontiers the single stream would
-  /// not have popped yet, so the cursor's drain flag flips on exactly
-  /// the same call under both execution modes.
-  std::optional<size_t> PendingLength() const;
-
-  /// Sum of per-shard expansion counters in shard-index order — the
-  /// stable aggregation SearchResult::expansions reports. Deterministic
-  /// for a fixed stop schedule.
-  size_t TotalExpansions() const;
-
-  /// Per-shard expansion counters (work-skew metric for the benches).
-  std::vector<size_t> ShardExpansions() const;
-
-  /// Max/mean/ratio skew over ShardExpansions() — the balance metric the
-  /// --shards bench sweeps and QueryProfile::shard_skew report.
-  SkewSummary WorkSkew() const;
-
-  size_t num_shards() const { return shards_.size(); }
-
- private:
-  struct Shard {
-    std::unique_ptr<ConnectionStream> stream;
-    /// Emissions pulled ahead under some stop bound, in shard order
-    /// (each shard's own order is nondecreasing (length, seed-major)).
-    std::deque<Emission> buffer;
-    bool exhausted = false;
-    /// True after a fill came back empty with pendings left: the shard
-    /// is paused at `paused_at`. Refilling at the same bound is a
-    /// no-op, so Next skips it until the bound changes.
-    bool paused = false;
-    size_t paused_at = 0;
-    /// Snapshot of stream->expansions() after the last fill (the stream
-    /// itself is only touched by fill tasks).
-    size_t expansions = 0;
-  };
-
-  /// Schedules fill tasks for every empty, unexhausted, unpaused shard
-  /// and blocks until they finish. Each task pulls up to a small
-  /// prefetch batch of emissions (all with length < stop_length) and
-  /// analyses them — the scatter half of the merge.
-  void FillAll(size_t stop_length) CLAKS_EXCLUDES(mutex_);
-
-  const DataGraph* graph_;
-  ThreadPool* pool_;
-  AnalyzeFn analyze_;
-  /// Not mutex-annotated: ownership alternates by protocol instead. Fill
-  /// tasks write their shard's entry (under mutex_, for the rendezvous
-  /// ordering); between FillAll rendezvous points no task is outstanding
-  /// and the single consumer reads without the lock. The TSan matrix
-  /// exercises this handoff; the annotations cover the rendezvous
-  /// counters below, which are what make it sound.
-  std::vector<Shard> shards_;
-  /// Stop bound of the most recent Next call — the pause horizon
-  /// PendingLength mirrors for drained-by-prefetch shards.
-  size_t last_stop_ = ConnectionStream::kNoStopLength;
-  /// Cross-shard dedup in merge order: the same undirected path can be
-  /// discovered from seeds in two different shards (one per lane); the
-  /// merge emits the first arrival — which, because merge order equals
-  /// unsharded order, is the same representative the unsharded stream's
-  /// own dedup keeps.
-  std::set<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>>
-      emitted_;
-
-  /// Fill-task rendezvous: tasks report completion (and the first
-  /// analysis error) under this mutex; Next waits for outstanding to
-  /// reach zero before merging.
-  Mutex mutex_;
-  std::condition_variable fills_done_;
-  size_t outstanding_ CLAKS_GUARDED_BY(mutex_) = 0;
-  Status fill_status_ CLAKS_GUARDED_BY(mutex_);
-};
 
 /// Order-preserving parallel analysis: AnalyzeTree for every tree on the
 /// shard pool, results in input order, first error (by input index)

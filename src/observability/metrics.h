@@ -38,18 +38,6 @@
 
 namespace claks {
 
-/// Work-balance summary over per-shard counters: the max/mean skew the
-/// --shards bench sweeps report and ShardedStreamSource::WorkSkew
-/// computes. ratio == 1.0 means perfectly balanced (and is also the
-/// defined value for empty or all-zero inputs).
-struct SkewSummary {
-  size_t max = 0;
-  double mean = 0.0;
-  double ratio = 1.0;
-};
-
-SkewSummary ComputeSkew(const std::vector<size_t>& counts);
-
 namespace internal {
 
 /// Global recording switch + round-robin thread slot assignment. The
@@ -338,8 +326,8 @@ class MetricsRegistry {
 /// Namespace-scope registration of process-wide metrics (the shape the
 /// metric-naming lint rule expects): expands to a reference binding
 /// against the Default() registry, e.g.
-///   CLAKS_METRIC_COUNTER(g_fills, "claks_shard_fill_tasks_total",
-///                        "Shard fill tasks scheduled");
+///   CLAKS_METRIC_COUNTER(g_storage_saves, "claks_storage_saves_total",
+///                        "Engine snapshots serialized to disk");
 #define CLAKS_METRIC_COUNTER(var, name, help)      \
   ::claks::Counter& var =                          \
       ::claks::MetricsRegistry::Default().GetCounter(name, help)

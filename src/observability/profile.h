@@ -5,42 +5,34 @@
 // QueryProfiler is the accumulator the engine and cursors feed while the
 // query runs.
 //
-// Stage model. The consumer-thread stages are non-overlapping scopes of
-// the query lifecycle —
+// Stage model. The stages are non-overlapping scopes of the query
+// lifecycle —
 //   validate  option validation (QuerySpec::Create)
 //   match     tokenize + keyword match + AND/OR resolution (Prepare)
-//   plan      cursor open / seed partition (streaming) — the work
-//             between Prepare and the first possible pull
-//   stream    candidate generation: pulling the connection stream (or
-//             waiting on the sharded scatter-gather merge) + settle
-//             bookkeeping, and the materialized methods' enumeration
-//   analyze   per-candidate analysis on the consumer thread (inline,
-//             unsharded paths)
+//   plan      cursor open: building the connection stream (streaming) —
+//             the work between Prepare and the first possible pull
+//   stream    candidate generation: pulling the connection stream +
+//             settle bookkeeping, and the materialized methods'
+//             enumeration
+//   analyze   per-candidate analysis
 //   rank      survivor ordering / rank-group-truncate
 //   fetch     page assembly and hit copy-out
 // — so StageSum() approximates total_ns, the wall time actually spent
 // inside API calls (Prepare + Open + every Next). That is the contract
 // the acceptance check exercises: stages sum to within 10% of measured
-// wall time. Cross-thread work (shard-task analysis) is reported
-// separately in analyze_tasks_ns/analyze_tasks and excluded from the
-// sum: it overlaps the consumer's `stream` wait.
+// wall time. A sharded materialized method's parallel analysis counts
+// once, as the consumer's wall time waiting for it.
 //
 // Thread model: one QueryProfiler belongs to one cursor (single
-// consumer). Consumer-stage accumulators are plain integers; the
-// analyze-task accumulators are atomic because shard fill tasks add to
-// them concurrently.
+// consumer); its accumulators are plain integers.
 
 #ifndef CLAKS_OBSERVABILITY_PROFILE_H_
 #define CLAKS_OBSERVABILITY_PROFILE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "observability/metrics.h"
 
 namespace claks {
 
@@ -57,22 +49,14 @@ struct QueryProfile {
   /// the denominator of the stage-sum contract.
   uint64_t total_ns = 0;
 
-  /// Cross-thread analysis on shard-pool tasks: summed task time and
-  /// call count. Overlaps the consumer's `stream` wait; excluded from
-  /// StageSum().
-  uint64_t analyze_tasks_ns = 0;
-  uint64_t analyze_tasks = 0;
-
   /// Work counters at snapshot time. `candidates` counts the candidate
   /// trees analysed and handed to ranking, `hits` the ones returned so
   /// far: together they show how much analysis the answer cost.
   size_t expansions = 0;
   size_t candidates = 0;
   size_t hits = 0;
-  std::vector<size_t> shard_expansions;  ///< empty when unsharded
-  SkewSummary shard_skew;                ///< over shard_expansions
 
-  /// Sum of the non-overlapping consumer-thread stages; ~= total_ns.
+  /// Sum of the non-overlapping stages; ~= total_ns.
   uint64_t StageSum() const {
     return validate_ns + match_ns + plan_ns + stream_ns + analyze_ns +
            rank_ns + fetch_ns;
@@ -137,13 +121,6 @@ class QueryProfiler {
     }
   }
 
-  /// Records one analysis call executed on a shard-pool task. Safe from
-  /// any thread.
-  void AddAnalyzeTask(uint64_t ns) {
-    analyze_tasks_ns_.fetch_add(ns, std::memory_order_relaxed);
-    analyze_tasks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Counts `n` analysed candidate trees. Consumer thread only.
   void AddCandidates(size_t n) { candidates_ += n; }
 
@@ -173,11 +150,9 @@ class QueryProfiler {
     Clock::time_point start_;
   };
 
-  /// Point-in-time profile. `expansions`/`hits`/`shard_expansions` are
-  /// passed by the cursor (it owns those counters); `candidates` is the
-  /// AddCandidates total.
-  QueryProfile Snapshot(size_t expansions, size_t hits,
-                        std::vector<size_t> shard_expansions) const {
+  /// Point-in-time profile. `expansions`/`hits` are passed by the cursor
+  /// (it owns those counters); `candidates` is the AddCandidates total.
+  QueryProfile Snapshot(size_t expansions, size_t hits) const {
     QueryProfile profile;
     profile.validate_ns = validate_ns_;
     profile.match_ns = match_ns_;
@@ -187,15 +162,9 @@ class QueryProfiler {
     profile.rank_ns = rank_ns_;
     profile.fetch_ns = fetch_ns_;
     profile.total_ns = total_ns_;
-    profile.analyze_tasks_ns =
-        analyze_tasks_ns_.load(std::memory_order_relaxed);
-    profile.analyze_tasks =
-        analyze_tasks_.load(std::memory_order_relaxed);
     profile.expansions = expansions;
     profile.candidates = candidates_;
     profile.hits = hits;
-    profile.shard_skew = ComputeSkew(shard_expansions);
-    profile.shard_expansions = std::move(shard_expansions);
     return profile;
   }
 
@@ -209,8 +178,6 @@ class QueryProfiler {
   uint64_t fetch_ns_ = 0;
   uint64_t total_ns_ = 0;
   size_t candidates_ = 0;
-  std::atomic<uint64_t> analyze_tasks_ns_{0};
-  std::atomic<uint64_t> analyze_tasks_{0};
 };
 
 }  // namespace claks

@@ -1,7 +1,7 @@
 // Copyright 2026 The claks Authors.
 //
 // Per-query trace spans: RAII TraceSpan nesting on the current thread,
-// cross-thread parent propagation into shard fill tasks (TraceContext),
+// cross-thread parent propagation into pool tasks (TraceContext),
 // and a bounded ring buffer of completed spans exportable as Chrome
 // trace_event JSON (chrome://tracing, Perfetto).
 //
@@ -62,7 +62,7 @@ struct TraceEvent {
 class TraceRecorder;
 
 /// Capture of a thread's current span identity, for parenting spans on
-/// other threads (the shard pool): capture on the consumer thread, hand
+/// other threads (a thread pool): capture on the consumer thread, hand
 /// the context into the task, open the task's spans with it.
 struct TraceContext {
   TraceRecorder* recorder = nullptr;

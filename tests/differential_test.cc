@@ -5,7 +5,8 @@
 // the prepared-query + cursor API against the 1x and 10x company_gen
 // datasets, asserting that sharded execution is byte-identical to the
 // unsharded engine — same hits, same ranking keys, same cursor page
-// boundaries, same drain point. Every spec derives from one uint64 seed;
+// boundaries, same drain point, same expansion count. Every spec derives
+// from one uint64 seed;
 // a failure prints that seed and the repro line
 // `CLAKS_DIFF_SEED=<seed> ./differential_test`.
 //
@@ -185,25 +186,29 @@ std::string Fingerprint(const SearchHit& hit, const Ranker& ranker) {
 }
 
 /// Everything a run exposes that must be shard-invariant. Pages keep
-/// their boundaries (a vector per Next call), so a merge that slips one
+/// their boundaries (a vector per Next call), so a run that slips one
 /// hit across a page edge fails even when the concatenation matches.
+/// The work counter is compared too: sharding must not change how much
+/// a query expands, only how its materialized work is spread.
 struct RunOutcome {
   bool prepare_ok = false;
   std::string prepare_error;
   std::vector<std::vector<std::string>> pages;
   std::vector<bool> drained_after;  ///< Drained() after each page
   size_t returned = 0;
+  size_t expansions = 0;  ///< CursorStats::expansions after the last page
 
   bool operator==(const RunOutcome& other) const {
     return prepare_ok == other.prepare_ok &&
            prepare_error == other.prepare_error && pages == other.pages &&
            drained_after == other.drained_after &&
-           returned == other.returned;
+           returned == other.returned && expansions == other.expansions;
   }
 
   std::string ToString() const {
     if (!prepare_ok) return "prepare failed: " + prepare_error;
-    std::string out = "returned=" + std::to_string(returned);
+    std::string out = "returned=" + std::to_string(returned) +
+                      " expansions=" + std::to_string(expansions);
     for (size_t p = 0; p < pages.size(); ++p) {
       out += "\n  page " + std::to_string(p) +
              (drained_after[p] ? " (drained)" : "") + ":";
@@ -251,7 +256,9 @@ RunOutcome RunSpec(const KeywordSearchEngine& engine, const DiffSpec& spec,
     outcome.drained_after.push_back((*cursor)->Drained());
     if ((*cursor)->Drained() || empty) break;
   }
-  outcome.returned = (*cursor)->Stats().returned;
+  CursorStats stats = (*cursor)->Stats();
+  outcome.returned = stats.returned;
+  outcome.expansions = stats.expansions;
   return outcome;
 }
 

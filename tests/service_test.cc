@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "datasets/company_paper.h"
+#include "common/thread_pool.h"
 #include "service/result_cache.h"
-#include "service/thread_pool.h"
 
 namespace claks {
 namespace {
@@ -338,6 +338,41 @@ TEST(SearchServiceTest, CacheAccountingIsExact) {
   search.ranker = RankerKind::kRdbLength;
   ASSERT_TRUE(service->SearchNow("smith xml", search).ok());
   EXPECT_EQ(service->stats().cache_misses, 2u);
+}
+
+TEST(SearchServiceTest, ShardCountSharesOneCacheEntry) {
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.cache_capacity = 64;
+  std::unique_ptr<SearchService> service = PaperService(options);
+
+  SearchOptions search;
+  search.method = SearchMethod::kStream;
+  search.top_k = 5;
+  search.max_rdb_edges = 3;
+  search.shards = 1;
+  auto unsharded = service->SearchNow("smith xml", search);
+  ASSERT_TRUE(unsharded.ok());
+  search.shards = 4;
+  auto sharded = service->SearchNow("smith xml", search);
+  ASSERT_TRUE(sharded.ok());
+
+  // The shard count is not part of the key: one miss, then one hit.
+  ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_entries, 1u);
+
+  // Sound because a shards=4 run computes exactly what was cached: the
+  // same hits and the same work counter.
+  SerialReference ref = MakeSerialReference();
+  auto direct = ref.engine->Search("smith xml", search);
+  ASSERT_TRUE(direct.ok());
+  const std::string expected = Fingerprint(*direct, *ref.dataset.db);
+  EXPECT_EQ(Fingerprint(*unsharded, *ref.dataset.db), expected);
+  EXPECT_EQ(Fingerprint(*sharded, *ref.dataset.db), expected);
+  EXPECT_EQ(unsharded->expansions, direct->expansions);
+  EXPECT_EQ(sharded->expansions, direct->expansions);
 }
 
 TEST(SearchServiceTest, EvictionAccountingIsExact) {
